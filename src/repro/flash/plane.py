@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+#: Maps a 0/1 validity byte to the ASCII digit ``int(..., 2)`` parses.
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 class Block:
     """Erase-unit bookkeeping: per-page valid/used bits and erase count.
@@ -140,28 +143,6 @@ class Block:
             owner._valid_pages += count
         return start
 
-    def program_bulk(self, count: int) -> None:
-        """Program the first ``count`` pages of a *free* block in one step.
-
-        Fast-forward device aging uses this to reach, in O(1) per block, the
-        exact state that ``count`` consecutive :meth:`program_next` calls
-        would leave behind: write pointer at ``count`` and pages
-        ``0..count-1`` all valid.  Only legal on an erased block - bulk
-        programming must never silently clobber per-page valid bookkeeping.
-        """
-        if not 0 <= count <= self.pages_per_block:
-            raise ValueError(f"count {count} out of range")
-        if not self.is_free:
-            raise RuntimeError(f"block {self.block_id} is not free; cannot bulk-program")
-        self.write_pointer = count
-        self._valid_bits = (1 << count) - 1
-        self._valid_count = count
-        owner = self._owner
-        if owner is not None and count > 0 and not self.is_bad:
-            owner._free_blocks -= 1
-            owner._free_pages -= count
-            owner._valid_pages += count
-
     def invalidate(self, page: int) -> None:
         """Mark a previously-programmed page as stale."""
         if not 0 <= page < self.pages_per_block:
@@ -272,6 +253,46 @@ class Plane:
         scanning their blocks.
         """
         return self._total_erases
+
+    @property
+    def is_pristine(self) -> bool:
+        """True when no block is bad or programmed and allocation starts at block 0."""
+        blocks = len(self.blocks)
+        return (
+            self._num_good == blocks
+            and self._free_blocks == blocks
+            and self.active_block_id in (None, 0)
+        )
+
+    def install_programmed(self, valid: bytes) -> None:
+        """Program the first ``len(valid)`` pages of a pristine plane in one step.
+
+        ``valid[i]`` is 1 when the ``i``-th programmed page still holds live
+        data and 0 when it has been superseded.  The result is the state
+        ``len(valid)`` :meth:`allocate_page` calls followed by invalidating
+        every 0 page would leave: blocks fill in order, the last block
+        programmed is active, and the plane aggregates stay exact.  Bulk
+        device preconditioning installs each plane through here.
+        """
+        if not self.is_pristine:
+            raise ValueError(f"plane {self.plane_key} is not pristine")
+        count = len(valid)
+        pages_per_block = self.pages_per_block
+        if count > len(self.blocks) * pages_per_block:
+            raise ValueError(f"plane {self.plane_key} cannot hold {count} pages")
+        if not count:
+            return
+        blocks = self.blocks
+        for block_id, start in enumerate(range(0, count, pages_per_block)):
+            chunk = valid[start : start + pages_per_block]
+            block = blocks[block_id]
+            block.write_pointer = len(chunk)
+            block._valid_bits = int(chunk[::-1].translate(_BIT_DIGITS), 2)
+            block._valid_count = chunk.count(1)
+        self.active_block_id = (count - 1) // pages_per_block
+        self._free_blocks -= self.active_block_id + 1
+        self._free_pages -= count
+        self._valid_pages += valid.count(1)
 
     # ------------------------------------------------------------------
     # Allocation

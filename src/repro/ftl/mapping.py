@@ -6,29 +6,33 @@ map needed by garbage collection, performs dynamic page allocation for
 writes, and exposes migration hooks used by GC, wear levelling and bad-block
 replacement.  All timing is handled elsewhere; the FTL is pure bookkeeping.
 
-Fast-forward device aging (:mod:`repro.lifetime.state`) adds one twist: a
-sequential fill of a fresh device lands in a purely *arithmetic* layout (the
-allocator stripes write ``i`` onto plane ``i % P`` and fills blocks in
-order), so the FTL can serve those mappings implicitly instead of
-materialising millions of dictionary entries.  :meth:`install_base_layout`
-declares "logical pages ``0..live-1`` sit in the striped base layout"; the
-explicit ``_map``/``_reverse`` dictionaries then act as an overlay for every
-page that is subsequently rewritten, migrated or erased (tracked in
-``_base_moved``).  Behaviour is bit-identical to writing the base fill
-page-by-page - the lifetime tests compare full occupancy snapshots - but
-installing it is O(1), which is what makes aging a 512-chip device a
-bookkeeping errand instead of a simulation campaign.
+Device preconditioning (:meth:`PageMapFTL.fill` and
+:mod:`repro.lifetime.state`) adds one twist: on a fresh device every write
+of a fill-then-overwrite pass lands in a purely *arithmetic* layout (the
+allocator stripes write ``g`` onto plane ``g % P`` and fills blocks in
+order), so :meth:`PageMapFTL.install_preconditioned` computes the pass's end
+state instead of replaying it page by page.  The sequential base fill is
+served implicitly: "logical pages ``0..live-1`` sit in the striped base
+layout", and the explicit ``_map``/``_reverse`` dictionaries act as an
+overlay for every page that is rewritten, migrated or erased (tracked in
+``_base_moved``).  Behaviour is bit-identical to issuing every write through
+:meth:`PageMapFTL.translate_write` - the tests compare full occupancy
+snapshots - which is what makes aging a 512-chip device a bookkeeping
+errand instead of a simulation campaign.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.flash.chip import FlashChip, planes_by_key
 from repro.flash.geometry import PhysicalPageAddress, SSDGeometry
 from repro.ftl.allocation import AllocationOrder, PageAllocator
+
+#: Swaps 0 and 1 bytes: base-copy validity -> "moved" flags.
+_FLIP_BYTES = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 @dataclass
@@ -60,7 +64,7 @@ class PageMapFTL:
         self._map: Dict[int, PhysicalPageAddress] = {}
         self._reverse: Dict[PhysicalPageAddress, int] = {}
         #: Logical pages 0.._base_live-1 are implicitly mapped to the striped
-        #: base layout (see install_base_layout) unless flagged in
+        #: base layout (see install_preconditioned) unless flagged in
         #: _base_moved.  The moved flags are a flat byte-map indexed by LPN
         #: (sized at install time) rather than a set of ints: the aged-device
         #: overlay probe runs on every lookup/reverse-lookup, and a single C
@@ -195,26 +199,96 @@ class PageMapFTL:
             if not moved[lpn]:
                 yield lpn, static(lpn)
 
-    def install_base_layout(self, live: int) -> None:
-        """Declare logical pages ``0..live-1`` written in the striped layout.
+    def install_preconditioned(self, live: int, overwrite_lpns: Iterable[int]) -> int:
+        """Precondition a pristine FTL in one bulk pass.
 
-        The O(1) core of fast-forward aging: instead of materialising one
-        map entry per page, the FTL serves the sequential base fill
-        arithmetically (``lookup``/``reverse_lookup`` fall through to the
-        stripe formula) and tracks later rewrites in the overlay.  The
-        caller (:func:`repro.lifetime.state.apply_device_state`)
-        bulk-programs the matching block bookkeeping and positions the
-        allocator cursor.  Counts as host writes, exactly like the replayed
-        equivalent.  Legal only once, on a factory-fresh FTL.
+        Leaves exactly the state that writing logical pages ``0..live-1``
+        and then each of ``overwrite_lpns`` (in order) through
+        :meth:`translate_write` would: the same mapping, block bits, plane
+        aggregates, allocator cursor and counters.  Nothing is replayed,
+        because on a pristine device every address is arithmetic:
+
+        * **Destinations are fixed.**  No plane fills during the pass, so the
+          round-robin allocator puts the ``g``-th write of the pass on plane
+          ``g % P`` at that plane's position ``g // P`` - the striped
+          layout of :meth:`PageAllocator.static_address`.
+        * **Liveness follows from the last write.**  A destination is valid
+          iff it is the last write of its LPN; the base copy of every
+          overwritten LPN is stale.
+        * **Blocks and planes are set once**, per plane, by
+          :meth:`repro.flash.plane.Plane.install_programmed`.
+
+        The base fill stays implicit (``lookup``/``reverse_lookup`` fall
+        through to the stripe formula); only the overwritten LPNs get
+        explicit map entries.  ``overwrite_lpns`` is consumed once, straight
+        into a last-writer map, so the draws are never held as a list.
+        Returns the number of overwrites installed.
+
+        Raises ``ValueError`` when the FTL or its device is not pristine,
+        ``live`` is out of range, an LPN is negative, or the plan needs more
+        page writes than the device holds (a plane would fill mid-pass).
         """
-        if self._base_live or self._map or self.allocator.cursor != 0:
-            raise ValueError("base layout must be installed on a fresh FTL")
-        if not 0 <= live <= self.geometry.total_pages:
-            raise ValueError("live page count out of range")
+        if self._base_live or self._map or self._reverse or self.allocator.cursor != 0:
+            raise ValueError("bulk preconditioning needs a fresh FTL (nothing mapped yet)")
+        if not all(plane.is_pristine for plane in self._planes.values()):
+            raise ValueError(
+                "bulk preconditioning needs a pristine device "
+                "(no bad or programmed blocks); replay the writes instead"
+            )
+        total = self.geometry.total_pages
+        if not 0 <= live <= total:
+            raise ValueError(f"live page count {live} out of range [0, {total}]")
+        # 1. Last-writer map: LPN -> index g of its final write in the pass
+        #    (step 2 swaps each index for its address in place, and the dict
+        #    becomes the explicit map).  The capped index range stops a
+        #    runaway plan one write past the device's capacity.
+        last: Dict[int, object] = {}
+        indices = iter(range(live, total + 1))
+        last.update(zip(overwrite_lpns, indices))
+        end = next(indices, total + 1)
+        if end > total:
+            raise ValueError(
+                f"preconditioning plan exceeds the device's {total} pages: "
+                "a plane would fill mid-pass"
+            )
+        if last and min(last) < 0:
+            raise ValueError("overwrite LPNs must be non-negative")
+        # 2. One pass over the surviving writes: mark each valid, supersede
+        #    its base copy, and turn the write index into its address.
+        sequence = self.allocator.plane_sequence
+        num_planes = len(sequence)
+        pages_per_block = self.geometry.pages_per_block
+        new_address = tuple.__new__
+        address_cls = PhysicalPageAddress
+        reverse = self._reverse
+        valid = bytearray(b"\x01") * live + bytearray(end - live)
+        fresh = 0
+        for lpn, index in last.items():
+            valid[index] = 1
+            if lpn < live:
+                valid[lpn] = 0
+            else:
+                fresh += 1
+            position, plane_index = divmod(index, num_planes)
+            address = new_address(
+                address_cls, sequence[plane_index] + divmod(position, pages_per_block)
+            )
+            last[lpn] = address
+            reverse[address] = lpn
+        self._map = last
+        # 3. Blocks and planes, one install per plane.
+        for plane_index, plane_key in enumerate(sequence):
+            self._planes[plane_key].install_programmed(valid[plane_index::num_planes])
+        # 4. Implicit base layout, allocator cursor and counters.
+        moved = valid[:live].translate(_FLIP_BYTES)
         self._base_live = live
-        self._base_moved = bytearray(live)
-        self._base_moved_count = 0
-        self.stats.host_writes += live
+        self._base_moved = moved
+        self._base_moved_count = moved.count(1)
+        self.allocator.cursor = end % num_planes
+        overwrites = end - live
+        self.stats.host_writes += end
+        self.stats.invalidations += overwrites - fresh
+        return overwrites
 
     # ------------------------------------------------------------------
     # Invalidation and migration
@@ -500,7 +574,6 @@ class PageMapFTL:
         self,
         fraction: float,
         *,
-        start_lpn: int = 0,
         overwrite_fraction: float = 0.0,
         seed: int = 12345,
     ) -> int:
@@ -516,7 +589,8 @@ class PageMapFTL:
         than pure thrash.
 
         Returns the number of page writes performed.  Bookkeeping only - no
-        time is simulated.
+        time is simulated: the writes are installed in one bulk pass by
+        :meth:`install_preconditioned`, so the device must be pristine.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
@@ -524,22 +598,20 @@ class PageMapFTL:
             raise ValueError("overwrite_fraction must be in [0, 1)")
         overwrites = int(self.geometry.total_pages * fraction * overwrite_fraction)
         target = int(self.geometry.total_pages * fraction) - overwrites
-        written = 0
-        lpn = start_lpn
-        while written < target:
-            self.translate_write(lpn)
-            lpn += 1
-            written += 1
-        filled = max(1, lpn - start_lpn)
-        # Overwrite a pseudo-random subset of the filled logical pages so the
-        # surviving valid pages are spread uniformly across blocks (no
-        # correlation with the plane/block striping of the first pass).
-        rng = random.Random(seed)
-        remaining = overwrites
-        while remaining > 0:
-            batch = min(remaining, filled)
-            for offset in rng.sample(range(filled), batch):
-                self.translate_write(start_lpn + offset)
-            written += batch
-            remaining -= batch
-        return written
+        return target + self.install_preconditioned(
+            target, _sampled_overwrites(random.Random(seed), max(1, target), overwrites)
+        )
+
+
+def _sampled_overwrites(rng: random.Random, filled: int, count: int) -> Iterator[int]:
+    """``count`` overwrite targets, drawn as ``rng.sample`` batches of LPNs below ``filled``.
+
+    Sampling without replacement inside each batch spreads the surviving
+    valid pages uniformly across blocks (no correlation with the
+    plane/block striping of the sequential fill).
+    """
+    remaining = count
+    while remaining > 0:
+        batch = min(remaining, filled)
+        yield from rng.sample(range(filled), batch)
+        remaining -= batch

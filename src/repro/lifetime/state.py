@@ -1,33 +1,32 @@
-"""Device aging state: fingerprinted specs and fast-forward preconditioning.
+"""Device aging state: fingerprinted specs and bulk preconditioning.
 
 Every experiment in the seed repository ran against a factory-fresh SSD, so
 the GC-dominated steady-state regime - the one deployed many-chip devices
 actually live in - was unreachable.  :class:`DeviceState` fixes that: it is a
 frozen, content-fingerprintable description of an *aged* device (how full,
-how fragmented, how skewed the overwrite traffic that got it there), and
-:func:`apply_device_state` is a **fast-forward constructor** that programs
-the FTL mapping and the per-block valid/erase bookkeeping directly - no
-event simulation, no per-page allocator walk for the base fill - so aging a
-multi-hundred-chip device takes a tiny fraction of the time the equivalent
-write workload would need through the event simulator.
+how fragmented, how skewed the overwrite traffic that got it there).
 
-Three views of the same aging recipe are kept bit-compatible, and the test
-suite holds them together:
+The aging recipe: write the first ``live`` logical pages sequentially, then
+perform ``overwrites`` seeded-random rewrites of already live pages -
+hot/cold skewed, so invalid pages concentrate in the blocks holding the hot
+set, exactly the fragmentation profile a skewed random-write workload
+produces on a real drive.
 
-* :func:`apply_device_state` - the fast path (bulk block programming plus a
-  bulk FTL map install for the sequential base fill, bookkeeping-only
-  overwrites for the fragmentation pass);
-* :func:`replay_device_state` - the reference path, issuing every write
-  through ``PageMapFTL.translate_write`` one page at a time;
+There is one preconditioning path.  :func:`apply_device_state` draws the
+overwrite targets and hands them, with the base fill, to
+:meth:`~repro.ftl.mapping.PageMapFTL.install_preconditioned`, which computes
+the end state of the whole pass in bulk - no event simulation and no
+per-page ``translate_write`` calls - so aging a multi-hundred-chip device
+takes a tiny fraction of the time the equivalent write workload would need.
+The legacy ``prefill_fraction`` recipe (:meth:`PageMapFTL.fill`) feeds the
+same kernel.  Two reference views define what the kernel must produce, and
+the test suite holds all three together via :func:`occupancy_fingerprint`:
+
+* :func:`replay_device_state` - every write through
+  ``PageMapFTL.translate_write``, one page at a time;
 * :func:`device_state_workload` - the equivalent *host workload*, which run
   through :class:`~repro.sim.ssd.SSDSimulator` (GC off) leaves the FTL in
-  the same occupancy, verifiable via :func:`occupancy_fingerprint`.
-
-The aging recipe itself: write the first ``live`` logical pages
-sequentially, then perform ``overwrites`` seeded-random rewrites of already
-live pages - hot/cold skewed, so invalid pages concentrate in the blocks
-holding the hot set, exactly the fragmentation profile a skewed random-write
-workload produces on a real drive.
+  the same occupancy.
 """
 
 from __future__ import annotations
@@ -35,7 +34,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from itertools import repeat, starmap
+from typing import Iterator, List, Optional, Tuple
 
 from repro.flash.geometry import SSDGeometry
 from repro.ftl.mapping import PageMapFTL
@@ -162,16 +162,17 @@ def _overwrite_sequence(
     count: int,
     hot_fraction: float,
     hot_write_share: float,
-) -> List[int]:
+) -> Iterator[int]:
     """The seeded hot/cold-skewed overwrite targets, in issue order.
 
-    Shared by the fast-forward path, the replay reference and the
-    equivalent-workload builder, so all three consume the RNG identically.
+    Shared by the bulk path, the replay reference and the equivalent-workload
+    builder, so all three consume the RNG identically.  Lazy: the bulk path
+    streams the draws without holding them as a list.
     """
     if live <= 0 or count <= 0:
-        return []
+        return iter(())
     hot, cold = hot_cold_split(live, hot_fraction)
-    return [draw_skewed_lpn(rng, hot, cold, hot_write_share) for _ in range(count)]
+    return starmap(draw_skewed_lpn, repeat((rng, hot, cold, hot_write_share), count))
 
 
 @dataclass
@@ -187,19 +188,6 @@ class PreconditionReport:
         return self.live_pages + self.overwrites
 
 
-def _require_pristine(ftl: PageMapFTL) -> None:
-    if ftl.mapped_pages > 0 or ftl.allocator.cursor != 0:
-        raise ValueError("device state must be applied to a factory-fresh device")
-    for chip in ftl.chips.values():
-        for plane in chip.iter_planes():
-            for block in plane.blocks:
-                if block.is_bad or not block.is_free:
-                    raise ValueError(
-                        "fast-forward aging requires a pristine device "
-                        "(no bad or programmed blocks); use replay_device_state"
-                    )
-
-
 def apply_device_state(
     ftl: PageMapFTL,
     state: DeviceState,
@@ -207,51 +195,25 @@ def apply_device_state(
     logical_pages: int,
     rng: Optional[random.Random] = None,
 ) -> PreconditionReport:
-    """Fast-forward a pristine device into ``state`` (bookkeeping only).
+    """Bring a pristine device into ``state`` in one bulk pass (bookkeeping only).
 
-    The sequential base fill is *computed*, not replayed: on a fresh device
-    the round-robin allocator stripes write ``i`` onto plane ``i % P`` and
-    fills that plane's blocks in order, so every address is arithmetic.
-    Blocks are bulk-programmed (one operation per block instead of one per
-    page) and the logical map is declared as an implicit base layout
-    (:meth:`~repro.ftl.mapping.PageMapFTL.install_base_layout`) - O(blocks)
-    total, no per-page work at all.  Only the overwrite pass - whose
-    allocation pattern depends on the RNG - runs through the regular
-    ``translate_write`` bookkeeping.
+    Draws the overwrite targets and installs the base fill plus the
+    overwrite scatter through
+    :meth:`~repro.ftl.mapping.PageMapFTL.install_preconditioned`, which
+    raises ``ValueError`` on a device that is not pristine (for example one
+    with factory bad blocks; use :func:`replay_device_state` there).
 
     Bit-identical to :func:`replay_device_state` (and to running
     :func:`device_state_workload` through the event simulator with GC off):
     same mapping, same block bits, same allocator cursor, same FTL counters.
     """
-    _require_pristine(ftl)
-    geometry = ftl.geometry
-    live, overwrites = state.precondition_plan(geometry, logical_pages)
+    live, overwrites = state.precondition_plan(ftl.geometry, logical_pages)
     if rng is None:
         rng = random.Random(state.seed)
-
-    sequence = ftl.allocator.plane_sequence
-    num_planes = len(sequence)
-    pages_per_block = geometry.pages_per_block
-    base, extra = divmod(live, num_planes)
-    for index, (channel, chip, die, plane) in enumerate(sequence):
-        count = base + (1 if index < extra else 0)
-        if count == 0:
-            continue
-        plane_obj = ftl.chips[(channel, chip)].plane(die, plane)
-        full_blocks, remainder = divmod(count, pages_per_block)
-        for block_id in range(full_blocks):
-            plane_obj.blocks[block_id].program_bulk(pages_per_block)
-        if remainder:
-            plane_obj.blocks[full_blocks].program_bulk(remainder)
-        plane_obj.active_block_id = (count - 1) // pages_per_block
-    ftl.install_base_layout(live)
-    if live:
-        ftl.allocator.cursor = live % num_planes
-
-    for lpn in _overwrite_sequence(
-        rng, live, overwrites, state.hot_fraction, state.hot_write_share
-    ):
-        ftl.translate_write(lpn)
+    ftl.install_preconditioned(
+        live,
+        _overwrite_sequence(rng, live, overwrites, state.hot_fraction, state.hot_write_share),
+    )
     return PreconditionReport(live_pages=live, overwrites=overwrites)
 
 
@@ -264,7 +226,7 @@ def replay_device_state(
 ) -> PreconditionReport:
     """Reference preconditioner: every write through ``translate_write``.
 
-    Semantically *defines* what :func:`apply_device_state` fast-forwards;
+    Semantically *defines* what :func:`apply_device_state` installs in bulk;
     the equivalence tests compare the two occupancy fingerprints.  Also the
     correct fallback for non-pristine devices (e.g. factory bad blocks),
     where the base-fill layout is no longer arithmetic.

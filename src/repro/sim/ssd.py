@@ -215,12 +215,23 @@ class SSDSimulator:
         it.  The pause point is a pure function of ``max_events``, so
         "run to T, snapshot, resume" is bit-identical to an uninterrupted
         run (the checkpoint digest-identity contract).
+
+        Raises ``ValueError`` naming the first duplicate (in arrival order)
+        when two requests share an ``io_id``: completions are tracked by id,
+        so the second would silently be lost.
         """
         if self._run_active:
             raise RuntimeError(
                 "a run is already in progress; continue it with run_to_completion()"
             )
-        self._pending = sorted(workload, key=lambda io: (io.arrival_ns, io.io_id))
+        pending = sorted(workload, key=lambda io: (io.arrival_ns, io.io_id))
+        if len({io.io_id for io in pending}) != len(pending):
+            seen = set()
+            for io in pending:
+                if io.io_id in seen:
+                    raise ValueError(f"workload contains duplicate io_id {io.io_id}")
+                seen.add(io.io_id)
+        self._pending = pending
         self._pending_index = 0
         self._workload_size = len(self._pending)
         self._workload_name = workload_name

@@ -138,7 +138,7 @@ class TestCollection:
         plane_obj = ftl.chips[(0, 0)].plane(0, 0)
         free_block = next(block for block in plane_obj.blocks if block.is_free)
         orphans = 2
-        free_block.program_bulk(orphans)
+        free_block.program_run(orphans)
         while not free_block.is_full:
             free_block.invalidate(free_block.program_next())
         job = gc.collect((0, 0), 0, 0)

@@ -129,25 +129,7 @@ class TestBaseLayout:
     """The implicit (lazy) base layout behind fast-forward aging."""
 
     def install(self, ftl, small_geometry, live=64):
-        # Bulk-program the blocks the base layout claims, like
-        # apply_device_state does, so block state and mapping agree.
-        sequence = ftl.allocator.plane_sequence
-        num_planes = len(sequence)
-        per_plane, extra = divmod(live, num_planes)
-        for index, (channel, chip, die, plane) in enumerate(sequence):
-            count = per_plane + (1 if index < extra else 0)
-            if count == 0:
-                continue
-            plane_obj = ftl.chips[(channel, chip)].plane(die, plane)
-            ppb = small_geometry.pages_per_block
-            full, rem = divmod(count, ppb)
-            for block_id in range(full):
-                plane_obj.blocks[block_id].program_bulk(ppb)
-            if rem:
-                plane_obj.blocks[full].program_bulk(rem)
-            plane_obj.active_block_id = (count - 1) // ppb
-        ftl.install_base_layout(live)
-        ftl.allocator.cursor = live % num_planes
+        ftl.install_preconditioned(live, ())
         return live
 
     def test_base_pages_resolve_like_written_pages(self, ftl, small_geometry):
@@ -197,8 +179,8 @@ class TestBaseLayout:
     def test_install_requires_fresh_ftl(self, ftl, small_geometry):
         ftl.translate_write(0)
         with pytest.raises(ValueError):
-            ftl.install_base_layout(16)
+            ftl.install_preconditioned(16, ())
 
     def test_install_rejects_out_of_range(self, ftl, small_geometry):
         with pytest.raises(ValueError):
-            ftl.install_base_layout(small_geometry.total_pages + 1)
+            ftl.install_preconditioned(small_geometry.total_pages + 1, ())

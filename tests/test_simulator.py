@@ -229,3 +229,14 @@ class TestForceUnitAccess:
         ]
         result = run_workload(clone(ios), scheduler="SPK3", config=test_config)
         assert result.completed_ios == 4
+
+
+class TestDuplicateIoIds:
+    def test_run_rejects_duplicate_io_id(self):
+        first = IORequest(kind=IOKind.WRITE, offset_bytes=0, size_bytes=2048, arrival_ns=0)
+        second = IORequest(
+            kind=IOKind.READ, offset_bytes=4096, size_bytes=2048, arrival_ns=10, io_id=first.io_id
+        )
+        simulator = SSDSimulator(SimulationConfig.small(), "SPK3")
+        with pytest.raises(ValueError, match=f"duplicate io_id {first.io_id}"):
+            simulator.run([first, second])
