@@ -15,7 +15,7 @@ Five schedulers are provided, matching Section 5.1 of the paper:
 from repro.core.scheduler import SchedulerBase, SchedulerContext
 from repro.core.vas import VirtualAddressScheduler
 from repro.core.pas import PhysicalAddressScheduler
-from repro.core.faro import FaroPolicy, overlap_depth, connectivity
+from repro.core.faro import FaroPolicy
 from repro.core.rios import RiosTraversal
 from repro.core.sprinkler import Sprinkler
 from repro.core.policies import SCHEDULER_NAMES, make_scheduler
@@ -26,8 +26,6 @@ __all__ = [
     "VirtualAddressScheduler",
     "PhysicalAddressScheduler",
     "FaroPolicy",
-    "overlap_depth",
-    "connectivity",
     "RiosTraversal",
     "Sprinkler",
     "SCHEDULER_NAMES",

@@ -12,56 +12,17 @@ a single high-FLP transaction.  Two metrics drive the priority:
   the same I/O request.  Used as a tie-breaker: committing highly-connected
   requests together shortens that I/O's latency.
 
-The helpers here are deliberately free functions over plain request lists so
-both Sprinkler variants (SPK1 and SPK3) and the unit/property tests can use
-them directly.
+Sprinkler's SPK1 path computes both metrics per chip in one pass over its
+lookahead window and hands them to :meth:`FaroPolicy.best_chip`; SPK3 uses
+only the request ordering, :meth:`FaroPolicy.order_requests`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.flash.commands import FlashOp
 from repro.flash.request import MemoryRequest
-
-
-def overlap_depth(requests: Sequence[MemoryRequest]) -> int:
-    """Number of distinct (die, plane) targets among ``requests``.
-
-    This is FARO's FLP-oriented metric: requests covering different planes
-    and dies of a chip can be folded into a single interleaved/multiplane
-    transaction, so more distinct targets means more parallelism available.
-    """
-    targets = {
-        (req.address.die, req.address.plane)
-        for req in requests
-        if req.address is not None
-    }
-    return len(targets)
-
-
-def connectivity(requests: Sequence[MemoryRequest]) -> int:
-    """Largest number of requests that belong to one I/O request."""
-    if not requests:
-        return 0
-    counts = Counter(req.io_id for req in requests)
-    return max(counts.values())
-
-
-@dataclass(frozen=True)
-class ChipPriority:
-    """FARO priority of one chip's pending (uncomposed) requests."""
-
-    chip_key: tuple
-    overlap_depth: int
-    connectivity: int
-
-    @property
-    def sort_key(self) -> tuple:
-        """Higher overlap depth wins; ties broken by higher connectivity."""
-        return (self.overlap_depth, self.connectivity)
 
 
 class FaroPolicy:
@@ -76,37 +37,22 @@ class FaroPolicy:
     # ------------------------------------------------------------------
     # Chip-level priority
     # ------------------------------------------------------------------
-    def chip_priority(self, chip_key: tuple, requests: Sequence[MemoryRequest]) -> ChipPriority:
-        """Compute the FARO priority of one chip's candidate requests."""
-        return ChipPriority(
-            chip_key=chip_key,
-            overlap_depth=overlap_depth(requests),
-            connectivity=connectivity(requests),
-        )
+    def best_chip(self, ranks: Mapping[tuple, Tuple[int, int]]) -> Optional[tuple]:
+        """Chip with the highest FARO priority, or ``None`` when there is none.
 
-    def best_chip(
-        self, candidates: Dict[tuple, List[MemoryRequest]]
-    ) -> Optional[tuple]:
-        """Chip whose pending requests have the highest FARO priority.
-
-        Ties on ``(overlap_depth, connectivity)`` go to the lowest chip key,
-        in one pass - sorting the whole candidate map per composition (as an
-        earlier revision did) is a redundant O(n log n) step the profiler
-        flagged.
+        ``ranks`` maps each candidate chip to its ``(overlap_depth,
+        connectivity)``: higher overlap depth wins, ties go to higher
+        connectivity, then to the lowest chip key.
         """
         best_key: Optional[tuple] = None
-        best_sort_key: Optional[tuple] = None
-        for chip_key, requests in candidates.items():
-            if not requests:
-                continue
-            priority = self.chip_priority(chip_key, requests)
-            sort_key = priority.sort_key
+        best_rank: Optional[Tuple[int, int]] = None
+        for chip_key, rank in ranks.items():
             if (
                 best_key is None
-                or sort_key > best_sort_key
-                or (sort_key == best_sort_key and chip_key < best_key)
+                or rank > best_rank
+                or (rank == best_rank and chip_key < best_key)
             ):
-                best_sort_key = sort_key
+                best_rank = rank
                 best_key = chip_key
         return best_key
 

@@ -12,6 +12,11 @@ interface:
   conflict).
 * :meth:`SchedulerBase.on_transaction_complete` - a chip finished a
   transaction; conflict-based policies may now have new eligible work.
+  Contract: this call follows every busy-to-idle transition of a chip.
+  :meth:`FlashController.finish_transaction` is the only place a chip
+  leaves its controller's ``busy`` set, and the simulator calls this hook
+  right after it, before the next composition.  PAS relies on it to wake
+  the I/Os it parked on that chip.
 * :meth:`SchedulerBase.on_tag_retired` - an I/O fully completed and left the
   device queue.
 
@@ -69,6 +74,10 @@ class SchedulerBase(abc.ABC):
 
     def __init__(self, context: SchedulerContext) -> None:
         self.context = context
+        #: Registered tags that may still hold uncomposed requests, in arrival
+        #: order.  A tag leaves when it retires or, composition being
+        #: permanent, the first time :meth:`_pending_tags` finds it fully
+        #: composed, so later scans skip it.
         self.tags: List[Tag] = []
         #: Registered force-unit-access tags not yet retired.  Zero almost
         #: always, which lets hot paths skip the per-composition FUA scan.
@@ -115,7 +124,7 @@ class SchedulerBase(abc.ABC):
 
     def on_tag_retired(self, tag: Tag) -> None:
         """A tag completed and left the device queue."""
-        self.tags = [existing for existing in self.tags if existing.io_id != tag.io_id]
+        self.tags = [existing for existing in self.tags if existing is not tag]
         if tag.io.force_unit_access:
             self._fua_live -= 1
 
@@ -150,35 +159,27 @@ class SchedulerBase(abc.ABC):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def _pending_tags(self) -> List[Tag]:
-        """Tags that still have uncomposed memory requests, in arrival order."""
-        # Inline ``not tag.fully_composed`` as plain attribute reads: this
-        # comprehension runs once per composition over the whole queue, and
-        # the property/descriptor machinery dominated its profile.
-        return [tag for tag in self.tags if tag.composed_count < len(tag.memory_requests)]
+    def _pending_tags(self, limit: Optional[int] = None) -> List[Tag]:
+        """The first ``limit`` (default: all) tags with uncomposed requests.
 
-    def _has_fua_barrier(self, tags: List[Tag], tag: Tag) -> bool:
-        """True when an earlier force-unit-access tag forbids reordering past it.
-
-        The paper's hazard control (Section 4.4): when the host issues a
-        force-unit-access command, I/Os are served without any reordering.
-        With no live FUA tag (the overwhelmingly common case) the scan is
-        skipped outright.
+        Tags come in arrival order.  Fully composed tags met on the way are
+        removed from :attr:`tags` for good.
         """
-        if not self._fua_live:
-            return False
-        tag_io_id = tag.io_id
-        for earlier in tags:
-            if earlier.io_id == tag_io_id:
-                return False
-            if earlier.io.force_unit_access and not earlier.fully_composed:
-                self._fua_barriers += 1
-                return True
-        return False
-
-    def has_backlog(self) -> bool:
-        """True while any registered tag still has uncomposed requests."""
-        return any(not tag.fully_composed for tag in self.tags)
+        pending = self.tags
+        found: List[Tag] = []
+        index = 0
+        while index < len(pending):
+            tag = pending[index]
+            # Plain attribute reads instead of ``tag.fully_composed``: this
+            # runs on every VAS and SPK1 composition.
+            if tag.composed_count < len(tag.memory_requests):
+                found.append(tag)
+                if len(found) == limit:
+                    break
+                index += 1
+            else:
+                del pending[index]
+        return found
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(tags={len(self.tags)})"

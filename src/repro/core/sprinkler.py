@@ -30,7 +30,7 @@ not group them for FLP; *SPK3* does both.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional
 
 from repro.core.faro import FaroPolicy
 from repro.core.rios import RiosTraversal
@@ -118,31 +118,27 @@ class Sprinkler(SchedulerBase):
             head = self._burst.popleft()
             if head.composed_at_ns is None:
                 return head
-        if self.use_rios and not self._fua_live:
-            # Fast path (the overwhelmingly common one): RIOS schedules from
-            # the per-chip candidate index alone, so with no force-unit-access
-            # tag alive there is no reason to materialise the pending-tag
-            # list on every composition.
-            return self._next_rios(())
-        pending = self._pending_tags()
-        if not pending:
-            return None
-        if any(tag.io.force_unit_access for tag in pending):
-            # Hazard control: a force-unit-access request disables reordering;
-            # fall back to strict arrival order until it drains.
-            self._fua_barriers += 1
-            if self.sink.enabled:
-                self.sink.instant(
-                    "fua.barrier",
-                    category="nvmhc",
-                    track="nvmhc",
-                    ts_ns=now_ns,
-                    pending_tags=len(pending),
-                )
-            return self._next_fifo(pending)
+        if self._fua_live:
+            pending = self._pending_tags()
+            if not pending:
+                return None
+            if any(tag.io.force_unit_access for tag in pending):
+                # Hazard control: a force-unit-access request disables
+                # reordering; fall back to strict arrival order until it drains.
+                self._fua_barriers += 1
+                if self.sink.enabled:
+                    self.sink.instant(
+                        "fua.barrier",
+                        category="nvmhc",
+                        track="nvmhc",
+                        ts_ns=now_ns,
+                        pending_tags=len(pending),
+                    )
+                return self._next_fifo(pending)
         if self.use_rios:
-            return self._next_rios(pending)
-        return self._next_faro_only(pending)
+            # RIOS schedules from the per-chip candidate index alone.
+            return self._next_rios()
+        return self._next_faro_only()
 
     # -- strict order fallback -----------------------------------------
     def _next_fifo(self, pending: List[Tag]) -> Optional[MemoryRequest]:
@@ -153,7 +149,7 @@ class Sprinkler(SchedulerBase):
         return None
 
     # -- SPK2 / SPK3: resource-driven traversal --------------------------
-    def _next_rios(self, pending: Sequence[Tag]) -> Optional[MemoryRequest]:
+    def _next_rios(self) -> Optional[MemoryRequest]:
         # Visit chips in traversal order; each visit drains either one request
         # (SPK2) or a FARO-ordered over-commit burst (SPK3) for that chip.
         for _ in range(len(self.traversal)):
@@ -195,34 +191,41 @@ class Sprinkler(SchedulerBase):
         return [req for req in queue if req.composed_at_ns is None]
 
     # -- SPK1: FARO within the arrival-order window ----------------------
-    def _next_faro_only(self, pending: List[Tag]) -> Optional[MemoryRequest]:
-        window = pending[: self.faro_lookahead_tags]
-        candidates = self._candidates_by_chip(window)
-        if not candidates:
-            return None
-        chip_key = self.faro.best_chip(candidates)
+    def _next_faro_only(self) -> Optional[MemoryRequest]:
+        # One pass over the lookahead window gathers, per chip, the
+        # uncomposed requests, their distinct (die, plane) targets (overlap
+        # depth) and the largest per-tag count (connectivity: a tag's
+        # requests all share its ``io_id``).  Plain loops, not
+        # comprehensions: most per-tag chip buckets hold one or two requests.
+        chips: Dict[tuple, list] = {}
+        for tag in self._pending_tags(self.faro_lookahead_tags):
+            for chip_key, bucket in tag.by_chip.items():
+                entry = None
+                count = 0
+                for req in bucket:
+                    if req.composed_at_ns is None:
+                        if entry is None:
+                            entry = chips.get(chip_key)
+                            if entry is None:
+                                entry = chips[chip_key] = [[], set(), 0]
+                        entry[0].append(req)
+                        address = req.address
+                        entry[1].add((address.die, address.plane))
+                        count += 1
+                if entry is not None and count > entry[2]:
+                    entry[2] = count
+        chip_key = self.faro.best_chip(
+            {key: (len(entry[1]), entry[2]) for key, entry in chips.items()}
+        )
         if chip_key is None:
             return None
-        ordered = self.faro.order_requests(candidates[chip_key])
+        ordered = self.faro.order_requests(chips[chip_key][0])
         burst = ordered[: self.overcommit_limit]
         head, rest = burst[0], burst[1:]
         self._burst = deque(rest)
         self._bursts += 1
         self._burst_requests += len(burst)
         return head
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _candidates_by_chip(self, tags: List[Tag]) -> Dict[tuple, List[MemoryRequest]]:
-        """Uncomposed memory requests of ``tags`` grouped by target chip."""
-        by_chip: Dict[tuple, List[MemoryRequest]] = {}
-        for tag in tags:
-            for chip_key, requests in tag.by_chip.items():
-                for req in requests:
-                    if req.composed_at_ns is None:
-                        by_chip.setdefault(chip_key, []).append(req)
-        return by_chip
 
     # ------------------------------------------------------------------
     # Migration handling (readdressing callback)

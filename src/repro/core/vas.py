@@ -45,16 +45,11 @@ class VirtualAddressScheduler(SchedulerBase):
 
     def next_composition(self, now_ns: int) -> Optional[MemoryRequest]:
         """Compose the head-of-queue I/O, stalling on chip conflicts."""
-        # Strict FIFO only ever looks at the first tag with uncomposed work,
-        # so scan for it directly instead of materialising the whole pending
-        # list on every composition.
-        head = None
-        for tag in self.tags:
-            if tag.composed_count < len(tag.memory_requests):
-                head = tag
-                break
-        if head is None:
+        # Strict FIFO only ever looks at the first tag with uncomposed work.
+        pending = self._pending_tags(1)
+        if not pending:
             return None
+        head = pending[0]
         if head.composed_count == 0 and self._conflicts(head):
             # The head I/O collides with outstanding work; VAS is unaware of
             # the physical layout, so it simply waits - nothing else may be

@@ -74,7 +74,9 @@ class FlashController:
         #: Chips with committed or in-flight work, kept exactly in sync with
         #: ``bool(pending[chip]) or active[chip] is not None``.  VAS/PAS probe
         #: every target chip of every queued I/O per composition; a set
-        #: containment check replaces a method call on that path.
+        #: containment check replaces a method call on that path.  Only
+        #: :meth:`finish_transaction` removes a chip, which is what lets PAS
+        #: wake the I/Os parked on it from ``on_transaction_complete``.
         self.busy: set = set()
         self.total_committed = 0
         self.total_transactions = 0
@@ -117,24 +119,8 @@ class FlashController:
         return chip_key in self.busy
 
     def pending_requests(self, chip_key: tuple) -> Sequence[MemoryRequest]:
-        """Read-only view of the chip's commit queue (used by the readdressing callback)."""
+        """Read-only view of the chip's commit queue."""
         return tuple(self.pending[chip_key])
-
-    def retarget_pending(self, chip_key: tuple, keep) -> int:
-        """Re-filter pending requests after a readdressing callback.
-
-        ``keep`` is a predicate; requests for which it returns ``False`` are
-        removed (the caller re-commits them at their new location).  Returns
-        the number of removed requests.
-        """
-        queue = self.pending[chip_key]
-        kept = [req for req in queue if keep(req)]
-        removed = len(queue) - len(kept)
-        self.pending[chip_key] = kept
-        if not kept and self.active[chip_key] is None and chip_key in self.busy:
-            self.busy.remove(chip_key)
-            self.idle_transitions += 1
-        return removed
 
     # ------------------------------------------------------------------
     # Execution-side interface (used by the simulator)

@@ -55,11 +55,6 @@ class Tag:
         """True when every memory request has been served by the flash."""
         return self.total_requests > 0 and self.completed_count >= self.total_requests
 
-    @property
-    def chip_footprint(self) -> List[tuple]:
-        """Chips the I/O touches (available once the layout is identified)."""
-        return sorted(self.by_chip.keys())
-
     def uncomposed_requests(self) -> List[MemoryRequest]:
         """Memory requests not yet handed to the composer, in logical order."""
         return [req for req in self.memory_requests if req.composed_at_ns is None]
@@ -76,14 +71,6 @@ class Tag:
                 return candidate
             self._compose_cursor += 1
         return None
-
-    def uncomposed_for_chip(self, chip_key: tuple) -> List[MemoryRequest]:
-        """Uncomposed memory requests of this I/O that target ``chip_key``."""
-        return [req for req in self.by_chip.get(chip_key, []) if req.composed_at_ns is None]
-
-    def connectivity(self, chip_key: tuple) -> int:
-        """FARO's connectivity metric: requests of this I/O targeting the chip."""
-        return len(self.by_chip.get(chip_key, ()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -55,14 +55,6 @@ class TestCommitQueues:
         controller.commit(request, 0)
         assert controller.pending_requests((0, 0)) == (request,)
 
-    def test_retarget_pending_removes_filtered(self, controller):
-        first, second = make_request(page=0), make_request(page=1)
-        controller.commit(first, 0)
-        controller.commit(second, 0)
-        removed = controller.retarget_pending((0, 0), lambda req: req is first)
-        assert removed == 1
-        assert controller.pending_count((0, 0)) == 1
-
 
 class TestTransactionExecution:
     def test_start_transaction_selects_and_removes(self, controller):

@@ -1,11 +1,12 @@
 """Tests for the FARO priority policy and the RIOS traversal."""
 
 
-from repro.core.faro import FaroPolicy, connectivity, overlap_depth
+from repro.core.faro import FaroPolicy
 from repro.core.rios import RiosTraversal
 from repro.flash.commands import FlashOp
 from repro.flash.geometry import PhysicalPageAddress, SSDGeometry
 from repro.flash.request import MemoryRequest
+from scheduler_oracles import connectivity, overlap_depth
 
 
 def make_request(io_id=1, op=FlashOp.READ, die=0, plane=0, page=0, chip=(0, 0)):
@@ -17,6 +18,14 @@ def make_request(io_id=1, op=FlashOp.READ, die=0, plane=0, page=0, chip=(0, 0)):
         size_bytes=2048,
         address=PhysicalPageAddress(channel, chip_idx, die, plane, 0, page),
     )
+
+
+def faro_ranks(candidates):
+    """FARO rank of each chip's request list: (overlap depth, connectivity)."""
+    return {
+        chip_key: (overlap_depth(requests), connectivity(requests))
+        for chip_key, requests in candidates.items()
+    }
 
 
 class TestFaroMetrics:
@@ -52,7 +61,7 @@ class TestFaroPolicy:
             (0, 0): [make_request(die=0, plane=0), make_request(die=1, plane=1, page=1)],
             (0, 1): [make_request(chip=(0, 1))],
         }
-        assert policy.best_chip(candidates) == (0, 0)
+        assert policy.best_chip(faro_ranks(candidates)) == (0, 0)
 
     def test_best_chip_ties_broken_by_connectivity(self):
         policy = FaroPolicy()
@@ -65,11 +74,12 @@ class TestFaroPolicy:
                 make_request(io_id=2, chip=(0, 1), die=0, plane=0, page=1),
             ],
         }
-        assert policy.best_chip(candidates) == (0, 1)
+        assert policy.best_chip(faro_ranks(candidates)) == (0, 1)
+        # A full tie goes to the lowest chip key, whatever the map order.
+        assert policy.best_chip({(1, 0): (1, 1), (0, 1): (1, 1), (0, 2): (1, 1)}) == (0, 1)
 
     def test_best_chip_empty(self):
         assert FaroPolicy().best_chip({}) is None
-        assert FaroPolicy().best_chip({(0, 0): []}) is None
 
     def test_order_requests_extends_coverage_first(self):
         policy = FaroPolicy()
@@ -96,13 +106,6 @@ class TestFaroPolicy:
         read = make_request(io_id=2, op=FlashOp.READ, die=0, plane=0, page=3)
         ordered = policy.order_requests([write, read])
         assert ordered[0] is write
-
-    def test_chip_priority_dataclass(self):
-        policy = FaroPolicy()
-        priority = policy.chip_priority((0, 0), [make_request(), make_request(die=1, page=1)])
-        assert priority.overlap_depth == 2
-        assert priority.connectivity == 2
-        assert priority.sort_key == (2, 2)
 
 
 class TestRiosTraversal:

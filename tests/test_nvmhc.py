@@ -122,17 +122,6 @@ class TestTag:
         assert tag.fully_composed
         assert tag.fully_completed
 
-    def test_connectivity_and_footprint(self):
-        tag = self.make_tag(3)
-        assert tag.chip_footprint == [(0, 0)]
-        assert tag.connectivity((0, 0)) == 3
-        assert tag.connectivity((1, 1)) == 0
-
-    def test_uncomposed_for_chip(self):
-        tag = self.make_tag(2)
-        tag.memory_requests[0].composed_at_ns = 5
-        assert len(tag.uncomposed_for_chip((0, 0))) == 1
-
 
 class TestDmaEngine:
     def test_composition_cost(self):

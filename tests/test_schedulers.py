@@ -188,6 +188,43 @@ class TestPAS:
         # The conflicting FUA request blocks reordering past it.
         assert scheduler.next_composition(0) is None
 
+    def test_parked_io_wakes_when_its_chip_goes_idle(self, context):
+        scheduler = PhysicalAddressScheduler(context)
+        controller = context.controllers[0]
+        blocker = build_tag([((0, 0), 0, 0)])
+        scheduler.register_tag(blocker, 0)
+        request = drain(scheduler, limit=1)[0]
+        controller.commit(request, 0)
+        conflicting = build_tag([((0, 0), 1, 1)])
+        scheduler.register_tag(conflicting, 0)
+        # Repeated attempts park the blocked I/O once instead of rescanning it.
+        assert scheduler.next_composition(0) is None
+        assert scheduler.next_composition(0) is None
+        assert scheduler.observability_counters()["scheduler.conflict_skips"] == 1
+        schedule = controller.start_transaction((0, 0), 0)
+        transaction = controller.finish_transaction((0, 0), schedule.complete_ns)
+        scheduler.on_transaction_complete((0, 0), transaction, schedule.complete_ns)
+        picked = scheduler.next_composition(schedule.complete_ns)
+        assert picked.io_id == conflicting.io_id
+
+    def test_parked_io_waits_while_chip_keeps_work(self, context):
+        scheduler = PhysicalAddressScheduler(context)
+        controller = context.controllers[0]
+        first = build_tag([((0, 0), 0, 0)])
+        second = build_tag([((0, 0), 1, 1)])
+        scheduler.register_tag(first, 0)
+        controller.commit(drain(scheduler, limit=1)[0], 0)
+        schedule = controller.start_transaction((0, 0), 0)
+        # Another request lands on the chip while the first one executes.
+        controller.commit(second.memory_requests[0], 0)
+        later = build_tag([((0, 0), 0, 1)])
+        scheduler.register_tag(later, 0)
+        assert scheduler.next_composition(0) is None
+        transaction = controller.finish_transaction((0, 0), schedule.complete_ns)
+        scheduler.on_transaction_complete((0, 0), transaction, schedule.complete_ns)
+        # The chip still holds committed work, so the parked I/O stays put.
+        assert scheduler.next_composition(schedule.complete_ns) is None
+
 
 class TestSprinklerVariants:
     def test_names_and_flags(self, context):
