@@ -50,7 +50,9 @@ from repro.sim.events import EventQueue
 #: Version 3 added the health sampler (``_health``) and the attribution
 #: tracker inside the metrics collector: a health-sampled, attributed run
 #: resumes with its series and slices intact.
-CHECKPOINT_VERSION = 3
+#: Version 4 gave migrations one readdressing route: the pickled FTL and
+#: callback lost their listener lists and controller table.
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(Exception):

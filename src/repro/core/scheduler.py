@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.flash.controller import FlashController
-from repro.flash.geometry import PhysicalPageAddress, SSDGeometry
+from repro.flash.geometry import SSDGeometry
 from repro.flash.request import MemoryRequest
 from repro.flash.transaction import FlashTransaction
 from repro.nvmhc.tag import Tag
@@ -69,7 +69,8 @@ class SchedulerBase(abc.ABC):
     uses_physical_layout: bool = False
     #: True when the scheduler may over-commit requests to busy chips.
     allows_overcommit: bool = False
-    #: True when the scheduler registers the readdressing callback.
+    #: True when the scheduler runs with the readdressing callback enabled
+    #: (the default when ``SimulationConfig.readdressing_callback`` is None).
     uses_readdressing_callback: bool = False
 
     def __init__(self, context: SchedulerContext) -> None:
@@ -142,19 +143,6 @@ class SchedulerBase(abc.ABC):
         self, chip_key: tuple, transaction: FlashTransaction, now_ns: int
     ) -> None:
         """A chip finished a transaction (default: nothing to update)."""
-
-    #: Migration-listener contract: ``on_migration`` is a no-op for moves
-    #: that stay on the same plane (the paper only requires readdressing
-    #: when data moves between different flash internal resources).  The
-    #: readdressing callback batches same-plane GC copyback past listeners
-    #: that keep this True; a subclass whose ``on_migration`` reacts to
-    #: same-plane moves must override it with False.
-    migration_ignores_same_plane = True
-
-    def on_migration(
-        self, lpn: int, old: PhysicalPageAddress, new: PhysicalPageAddress
-    ) -> None:
-        """Live data migration observed (only layout-aware schedulers care)."""
 
     # ------------------------------------------------------------------
     # Shared helpers

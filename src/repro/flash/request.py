@@ -32,7 +32,7 @@ class MemoryRequest:
     ----------
     io_id:
         Identifier of the host I/O request this memory request belongs to.
-        Used by FARO's *connectivity* metric and by the completion bitmap.
+        Used by FARO's *connectivity* metric.
     op:
         Flash operation (read or program) the request performs.
     lpn:

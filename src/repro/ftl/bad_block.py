@@ -71,8 +71,8 @@ class BadBlockManager:
         """Retire a grown bad block, relocating any live pages first.
 
         Returns the record describing the retirement.  Live pages are moved
-        through the FTL's migration path, so registered migration listeners
-        (including the readdressing callback) observe every move.
+        through the FTL's migration path, so the readdressing callback sees
+        every move.
         """
         channel, chip_idx = chip_key
         plane_obj = self.chips[chip_key].plane(die, plane)

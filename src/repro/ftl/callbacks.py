@@ -6,24 +6,24 @@ A physical-address-aware scheduler whose committed memory requests point at
 the old locations would execute stale accesses.
 
 Sprinkler solves this with a *readdressing callback*: whenever the FTL moves
-a live page between different flash internal resources, the callback updates
-the physical layout information held by the device-level scheduler and by the
-flash controllers' commit queues.  Schedulers without the callback (VAS and
-PAS in the paper's Section 5.9 experiment) pay a penalty instead: their stale
+live pages it hands the callback the ``(old, new)`` move list, and the
+callback re-aims every committed, not-yet-executing memory request that
+pointed at a moved page.  Schedulers without the callback (VAS and PAS in
+the paper's Section 5.9 experiment) pay a penalty instead: their stale
 requests must be re-translated and re-issued when they reach the chip.
 
-:class:`ReaddressingCallback` is registered as an FTL migration listener and
-keeps a per-simulation record of moves, retargets pending memory requests in
-the flash controllers, and counts how many in-flight requests would have gone
-stale (so the penalty model of the simulator can charge them).
+There is one route: :class:`~repro.ftl.mapping.PageMapFTL` calls
+:meth:`ReaddressingCallback.on_migrations` from both its bulk (garbage
+collection) and per-page (wear levelling, bad-block replacement) migration
+paths, and the callback counts how many tracked requests it retargeted or
+penalised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict, List, Tuple
 
-from repro.flash.controller import FlashController
 from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
 
@@ -32,14 +32,12 @@ from repro.flash.request import MemoryRequest
 class CallbackStats:
     """Counters describing readdressing-callback activity."""
 
-    migrations_observed: int = 0
     requests_retargeted: int = 0
     requests_penalized: int = 0
-    cross_resource_migrations: int = 0
 
 
 class ReaddressingCallback:
-    """Keeps scheduler-side layout information consistent across migrations.
+    """Keeps committed memory requests aimed at pages that migration moved.
 
     When ``enabled`` is False (VAS and PAS in the paper's GC experiment) the
     object still tracks committed requests, but a migration that hits one of
@@ -52,30 +50,7 @@ class ReaddressingCallback:
         self.enabled = enabled
         self.stale_penalty_ns = stale_penalty_ns
         self.stats = CallbackStats()
-        self._controllers: Dict[int, FlashController] = {}
         self._pending_index: Dict[PhysicalPageAddress, List[MemoryRequest]] = {}
-        self._extra_listeners: List[Callable[[int, PhysicalPageAddress, PhysicalPageAddress], None]] = []
-        #: True while every extra listener declared (via its owner's
-        #: ``migration_ignores_same_plane`` attribute) that same-plane moves
-        #: are no-ops for it - lets the batched path skip the listener round
-        #: trip for the common same-plane GC copyback.
-        self._listeners_ignore_same_plane = True
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def attach_controller(self, channel_id: int, controller: FlashController) -> None:
-        """Register the flash controller responsible for a channel."""
-        self._controllers[channel_id] = controller
-
-    def add_listener(
-        self, listener: Callable[[int, PhysicalPageAddress, PhysicalPageAddress], None]
-    ) -> None:
-        """Register an extra observer of migrations (e.g. the scheduler)."""
-        self._extra_listeners.append(listener)
-        owner = getattr(listener, "__self__", None)
-        if not getattr(owner, "migration_ignores_same_plane", False):
-            self._listeners_ignore_same_plane = False
 
     def track_request(self, request: MemoryRequest) -> None:
         """Start tracking a committed memory request for possible retargeting."""
@@ -101,141 +76,44 @@ class ReaddressingCallback:
         if not bucket:
             del self._pending_index[request.address]
 
-    # ------------------------------------------------------------------
-    # FTL migration listener
-    # ------------------------------------------------------------------
-    def on_migration(
-        self, lpn: int, old: PhysicalPageAddress, new: PhysicalPageAddress
-    ) -> None:
-        """FTL listener: a live page moved from ``old`` to ``new``."""
-        self.stats.migrations_observed += 1
-        if not old.same_plane_as(new):
-            self.stats.cross_resource_migrations += 1
-        for listener in self._extra_listeners:
-            listener(lpn, old, new)
-        # The callback is only invoked for retargeting when data moved
-        # between different flash internal resources (paper Section 4.3);
-        # same-plane copyback keeps the resource layout unchanged.
-        stale = self._pending_index.pop(old, None)
-        if stale is None:
-            return
-        for request in stale:
-            request.retarget(new)
-            if self.enabled:
-                self.stats.requests_retargeted += 1
-            else:
-                # Without the callback the scheduler keeps scheduling against
-                # stale layout information; the request pays a re-translation
-                # and re-issue penalty when it finally executes.
-                request.penalty_ns += self.stale_penalty_ns
-                self.stats.requests_penalized += 1
-            self._pending_index.setdefault(new, []).append(request)
-
     def on_migrations(
-        self,
-        lpns: List[int],
-        moves: List[tuple],
-        *,
-        all_same_plane: bool = False,
+        self, moves: List[Tuple[PhysicalPageAddress, PhysicalPageAddress]]
     ) -> None:
-        """Batched :meth:`on_migration`: one call per garbage-collection pass.
+        """Live pages moved from ``old`` to ``new`` for each ``(old, new)``.
 
-        Semantics and counters are identical to calling :meth:`on_migration`
-        once per ``(lpns[i], *moves[i])`` in order; the batch hoists the
-        per-move attribute walks and, when every extra listener declared
-        same-plane moves to be no-ops for it, skips their round trip for the
-        in-plane copyback that dominates GC relocation.
-
-        ``all_same_plane=True`` is the caller's guarantee that every move
-        stays within its source plane (the FTL knows this from its
-        allocation runs); the batch then skips the per-move plane
-        comparison entirely and, when the listeners allow it, reduces to
-        pure pending-index maintenance.
+        Every tracked request aimed at an ``old`` address is re-aimed at its
+        ``new`` one (and keeps being tracked there); with the callback
+        disabled it is also charged the stale penalty.  Moves are
+        independent - within one list no destination is also a source - so
+        the order in which they are applied does not matter.
         """
+        pending = self._pending_index
+        if not pending:
+            return
+        if len(pending) * 4 <= len(moves):
+            # Far fewer tracked addresses than moves: probe the move table
+            # from the pending side instead of walking every move.  dict()
+            # builds at C speed.
+            move_get = dict(moves).get
+            moves = [(old, new) for old in pending if (new := move_get(old)) is not None]
         stats = self.stats
-        stats.migrations_observed += len(moves)
-        pending_pop = self._pending_index.pop
-        pending_setdefault = self._pending_index.setdefault
-        listeners = self._extra_listeners
-        skip_same_plane = self._listeners_ignore_same_plane
         enabled = self.enabled
         penalty_ns = self.stale_penalty_ns
-        if all_same_plane and (skip_same_plane or not listeners):
-            # Fast path: no cross-resource counting, no listener round
-            # trips - only in-flight requests aimed at a moved page need
-            # attention, and when nothing is tracked at all the whole pass
-            # is a no-op.
-            pending = self._pending_index
-            if not pending:
-                return
-            if len(pending) * 4 <= len(moves):
-                # Far fewer tracked addresses than moves: probe the move
-                # table from the pending side instead of walking every move.
-                # dict(moves) builds at C speed; iteration order of the
-                # stale buckets does not matter because each old address
-                # retargets independently.
-                move_map = dict(moves)
-                move_get = move_map.get
-                for old in list(pending):
-                    new = move_get(old)
-                    if new is None:
-                        continue
-                    stale = pending_pop(old)
-                    for request in stale:
-                        request.retarget(new)
-                        if enabled:
-                            stats.requests_retargeted += 1
-                        else:
-                            request.penalty_ns += penalty_ns
-                            stats.requests_penalized += 1
-                        pending_setdefault(new, []).append(request)
-                return
-            for old, new in moves:
-                stale = pending_pop(old, None)
-                if stale is None:
-                    continue
-                for request in stale:
-                    request.retarget(new)
-                    if enabled:
-                        stats.requests_retargeted += 1
-                    else:
-                        request.penalty_ns += penalty_ns
-                        stats.requests_penalized += 1
-                    pending_setdefault(new, []).append(request)
-            return
-        for index, move in enumerate(moves):
-            old, new = move
-            same_plane = all_same_plane or (
-                old[0] == new[0]
-                and old[1] == new[1]
-                and old[2] == new[2]
-                and old[3] == new[3]
-            )
-            if not same_plane:
-                stats.cross_resource_migrations += 1
-            if listeners and not (same_plane and skip_same_plane):
-                lpn = lpns[index]
-                for listener in listeners:
-                    listener(lpn, old, new)
+        pending_pop = pending.pop
+        pending_setdefault = pending.setdefault
+        for old, new in moves:
             stale = pending_pop(old, None)
             if stale is None:
                 continue
             for request in stale:
                 request.retarget(new)
-                if enabled:
-                    stats.requests_retargeted += 1
-                else:
+            if enabled:
+                stats.requests_retargeted += len(stale)
+            else:
+                # Without the callback the scheduler keeps scheduling against
+                # stale layout information; the request pays a re-translation
+                # and re-issue penalty when it finally executes.
+                for request in stale:
                     request.penalty_ns += penalty_ns
-                    stats.requests_penalized += 1
-                pending_setdefault(new, []).append(request)
-
-    # ------------------------------------------------------------------
-    # Queries used by the simulator's penalty model
-    # ------------------------------------------------------------------
-    def tracked_requests(self) -> int:
-        """Number of memory requests currently tracked."""
-        return sum(len(bucket) for bucket in self._pending_index.values())
-
-    def clear(self) -> None:
-        """Drop all tracked state (between simulation runs)."""
-        self._pending_index.clear()
+                stats.requests_penalized += len(stale)
+            pending_setdefault(new, []).extend(stale)

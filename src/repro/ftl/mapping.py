@@ -34,6 +34,9 @@ from repro.ftl.allocation import AllocationOrder, PageAllocator
 #: Swaps 0 and 1 bytes: base-copy validity -> "moved" flags.
 _FLIP_BYTES = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
+#: One live-page migration: ``(old_address, new_address)``.
+Move = Tuple[PhysicalPageAddress, PhysicalPageAddress]
+
 
 @dataclass
 class FTLStats:
@@ -44,9 +47,6 @@ class FTLStats:
     gc_writes: int = 0
     invalidations: int = 0
     migrations: int = 0
-
-
-MigrationListener = Callable[[int, PhysicalPageAddress, PhysicalPageAddress], None]
 
 
 class PageMapFTL:
@@ -80,37 +80,11 @@ class PageMapFTL:
         #: overwrite/migration (see :func:`repro.flash.chip.planes_by_key`).
         self._planes = planes_by_key(chips)
         self.stats = FTLStats()
-        self._migration_listeners: List[MigrationListener] = []
-        #: Bound ``on_migrations`` of the sole listener's owner when that
-        #: batched form is available (see :meth:`add_migration_listener`);
-        #: ``None`` forces the per-move notification loop.
-        self._batch_notifier = None
-
-    # ------------------------------------------------------------------
-    # Listener registration (readdressing callback, metrics, ...)
-    # ------------------------------------------------------------------
-    def add_migration_listener(self, listener: MigrationListener) -> None:
-        """Register a callable invoked as (lpn, old_address, new_address)."""
-        self._migration_listeners.append(listener)
-        # Bulk migration can hand the whole move list to the listener in one
-        # call when there is exactly one listener, it is a bound
-        # ``on_migration``, and its owner also implements ``on_migrations``
-        # with identical per-move semantics (ReaddressingCallback does).
-        self._batch_notifier = None
-        if len(self._migration_listeners) == 1:
-            owner = getattr(listener, "__self__", None)
-            if (
-                owner is not None
-                and getattr(listener, "__func__", None)
-                is getattr(type(owner), "on_migration", None)
-            ):
-                self._batch_notifier = getattr(owner, "on_migrations", None)
-
-    def _notify_migration(
-        self, lpn: int, old: PhysicalPageAddress, new: PhysicalPageAddress
-    ) -> None:
-        for listener in self._migration_listeners:
-            listener(lpn, old, new)
+        #: Readdressing target (paper Section 4.3): called with the
+        #: ``(old, new)`` move list of every migration, from both
+        #: :meth:`migrate_pages` and :meth:`migrate_page`.  ``None`` when no
+        #: in-flight request can point at a moved page.
+        self.readdress: Optional[Callable[[List[Move]], None]] = None
 
     # ------------------------------------------------------------------
     # Translation
@@ -312,8 +286,8 @@ class PageMapFTL:
         """Move a live logical page to a new physical location.
 
         Used by garbage collection, wear levelling and bad-block replacement.
-        Returns ``(old_address, new_address)`` and fires the migration
-        listeners (the readdressing callback among them).
+        Returns ``(old_address, new_address)`` and hands the move to the
+        readdressing target.
         """
         old = self.lookup(lpn)
         if old is None:
@@ -326,7 +300,8 @@ class PageMapFTL:
         self._reverse[new] = lpn
         self.stats.migrations += 1
         self.stats.gc_writes += 1
-        self._notify_migration(lpn, old, new)
+        if self.readdress is not None:
+            self.readdress([(old, new)])
         return old, new
 
     def valid_lpns_in_block(
@@ -373,13 +348,13 @@ class PageMapFTL:
         pages: List[int],
         lpns: List[int],
         runs_out: Optional[List[Tuple[int, int]]] = None,
-    ) -> List[Tuple[PhysicalPageAddress, PhysicalPageAddress]]:
+    ) -> List[Move]:
         """Bulk-migrate live pages out of one victim block.
 
         ``lpns[i]`` currently lives at ``pages[i]`` of ``block_id`` on
         ``plane_key``.  Equivalent to calling :meth:`migrate_page` for each
         LPN in order with ``preferred_plane=plane_key`` - identical
-        destination addresses, counters and listener notifications - but
+        destination addresses, counters and readdressing moves - but
         with the per-page round trips batched: destinations come from whole
         active-block runs (:meth:`repro.flash.plane.Plane.allocate_run`),
         the victim's valid bits clear in one mask update, and the
@@ -388,8 +363,7 @@ class PageMapFTL:
 
         The batching is legal because nothing a migration mutates feeds back
         into the pass itself: destinations never land in the (full) victim
-        block, each LPN appears at most once, and the migration listeners
-        only touch scheduler/controller state, never the FTL maps.
+        block and each LPN appears at most once.
 
         ``runs_out``, when given, receives one ``(start_page, count)`` entry
         per destination page span (covering every move, in order) so the
@@ -425,19 +399,16 @@ class PageMapFTL:
         base_live = self._base_live
         moved = self._base_moved
         newly_moved = 0
-        moves: List[Tuple[PhysicalPageAddress, PhysicalPageAddress]] = []
+        moves: List[Move] = []
         append_move = moves.append
         index = 0
         remaining = count
-        all_same_plane = True
         while remaining:
             run = allocate_run(remaining)
             if run is None:
                 # Fallback: plane full - the allocator picks the next plane
                 # in its global round-robin order (a cross-plane move).
                 new = allocator.allocate(preferred_plane=plane_key)
-                if new[:4] != plane_key:
-                    all_same_plane = False
                 lpn = lpns[index]
                 old = new_address(
                     address_cls, (channel, chip, die, plane, block_id, pages[index])
@@ -489,18 +460,8 @@ class PageMapFTL:
         stats.invalidations += count
         stats.migrations += count
         stats.gc_writes += count
-        # 3. Notifications preserve exact per-move order.  The batch
-        #    notifier learns whether every move stayed in the victim's plane
-        #    so it can skip the per-move plane comparison (the common case:
-        #    GC copyback with no allocator fallback).
-        if self._batch_notifier is not None:
-            self._batch_notifier(lpns, moves, all_same_plane=all_same_plane)
-        else:
-            listeners = self._migration_listeners
-            if listeners:
-                for index, (old, new) in enumerate(moves):
-                    for listener in listeners:
-                        listener(lpns[index], old, new)
+        if self.readdress is not None:
+            self.readdress(moves)
         return moves
 
     def erase_block(

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.scheduler import SchedulerBase
 from repro.core.sprinkler import Sprinkler
-from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
 from repro.nvmhc.tag import Tag
 
@@ -145,23 +144,3 @@ class LinearScanSPK1(Sprinkler):
             ):
                 best_key, best_rank = chip_key, rank
         return best_key
-
-    def on_migration(
-        self, lpn: int, old: PhysicalPageAddress, new: PhysicalPageAddress
-    ) -> None:
-        if old.same_plane_as(new):
-            return
-        for tag in self.tags:
-            old_bucket = tag.by_chip.get(old.chip_key)
-            if not old_bucket:
-                continue
-            moved: List[MemoryRequest] = []
-            remaining: List[MemoryRequest] = []
-            for req in old_bucket:
-                if req.composed_at_ns is None and req.address == new:
-                    moved.append(req)
-                else:
-                    remaining.append(req)
-            if moved:
-                tag.by_chip[old.chip_key] = remaining
-                tag.by_chip.setdefault(new.chip_key, []).extend(moved)

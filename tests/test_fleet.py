@@ -29,7 +29,7 @@ from repro.fleet.report import (
     fleet_report_markdown,
     write_fleet_report,
 )
-from repro.fleet.result import FleetResult, merge_node_results
+from repro.fleet.result import FleetResult
 from repro.metrics.attribution import (
     AttributionReport,
     TenantPhaseStats,

@@ -68,12 +68,11 @@ class TestMigration:
         assert new.plane_key == preferred
 
     def test_migration_listener_invoked(self, ftl):
-        events = []
-        ftl.add_migration_listener(lambda lpn, old, new: events.append((lpn, old, new)))
+        batches = []
+        ftl.readdress = batches.append
         ftl.translate_write(9)
-        ftl.migrate_page(9)
-        assert len(events) == 1
-        assert events[0][0] == 9
+        old, new = ftl.migrate_page(9)
+        assert batches == [[(old, new)]]
 
     def test_migration_counters(self, ftl):
         ftl.translate_write(4)

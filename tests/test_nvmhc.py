@@ -1,11 +1,10 @@
-"""Tests for the NVMHC substrate: device queue, tags, DMA engine, bitmap."""
+"""Tests for the NVMHC substrate: device queue, tags, DMA engine."""
 
 import pytest
 
 from repro.flash.commands import FlashOp
 from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
-from repro.nvmhc.bitmap import CompletionBitmap
 from repro.nvmhc.dma import DmaEngine
 from repro.nvmhc.queue import DeviceQueue
 from repro.nvmhc.tag import Tag
@@ -161,50 +160,3 @@ class TestDmaEngine:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             DmaEngine(per_request_ns=-1)
-
-
-class TestCompletionBitmap:
-    def test_initial_state(self):
-        bitmap = CompletionBitmap(4)
-        assert not bitmap.all_completed
-        assert bitmap.completed_count == 0
-        assert all(bitmap.is_outstanding(i) for i in range(4))
-
-    def test_clear_marks_completed(self):
-        bitmap = CompletionBitmap(4)
-        bitmap.clear(2)
-        assert not bitmap.is_outstanding(2)
-        assert bitmap.completed_count == 1
-
-    def test_all_completed(self):
-        bitmap = CompletionBitmap(3)
-        for i in range(3):
-            bitmap.clear(i)
-        assert bitmap.all_completed
-
-    def test_in_order_delivery(self):
-        bitmap = CompletionBitmap(3)
-        bitmap.clear(1)
-        assert bitmap.deliverable_payloads() == []
-        bitmap.clear(0)
-        assert bitmap.deliverable_payloads() == [0, 1]
-        bitmap.clear(2)
-        assert bitmap.deliverable_payloads() == [2]
-        assert bitmap.delivered_count == 3
-
-    def test_each_payload_delivered_once(self):
-        bitmap = CompletionBitmap(2)
-        bitmap.clear(0)
-        assert bitmap.deliverable_payloads() == [0]
-        assert bitmap.deliverable_payloads() == []
-
-    def test_out_of_range(self):
-        bitmap = CompletionBitmap(2)
-        with pytest.raises(IndexError):
-            bitmap.clear(2)
-        with pytest.raises(IndexError):
-            bitmap.is_outstanding(-1)
-
-    def test_requires_positive_size(self):
-        with pytest.raises(ValueError):
-            CompletionBitmap(0)

@@ -9,7 +9,6 @@ from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
 from repro.flash.timing import FlashTiming
 from repro.flash.transaction import TransactionBuilder
-from repro.nvmhc.bitmap import CompletionBitmap
 from repro.nvmhc.queue import DeviceQueue
 from repro.sim.config import SimulationConfig
 from repro.sim.ssd import run_workload
@@ -139,21 +138,6 @@ class TestTransactionBuilderProperties:
             timing.program_latency_ns(req.address.page) for req in transaction.requests
         )
         assert transaction.cell_time_ns >= slowest
-
-
-class TestBitmapProperties:
-    @given(
-        order=st.permutations(list(range(8))),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_delivery_is_always_in_order(self, order):
-        bitmap = CompletionBitmap(8)
-        delivered = []
-        for index in order:
-            bitmap.clear(index)
-            delivered.extend(bitmap.deliverable_payloads())
-        assert delivered == list(range(8))
-        assert bitmap.all_completed
 
 
 class TestQueueProperties:

@@ -3,8 +3,8 @@
 Production PAS parks blocked I/Os per busy chip and SPK1 ranks FARO chips
 in one pass; the oracles in ``scheduler_oracles.py`` rescan the queue on
 every composition.  For generated geometries and mixed read/write traffic
-(some of it force-unit-access, with GC on or off so migrations reach
-``on_migration``) both must produce the same result digest and hand out
+(some of it force-unit-access, with GC on or off so migrations go through
+the readdressing callback) both must produce the same result digest and hand out
 memory requests in the same order.
 """
 
